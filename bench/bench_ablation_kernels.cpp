@@ -1,6 +1,6 @@
 // google-benchmark microbenches for the two leaf kernels the paper's
-// performance rests on: batch Smith-Waterman (the ADEPT stand-in) and
-// local semiring SpGEMM. Reports real CUPS / products-per-second of this
+// performance rests on: Smith-Waterman (scalar, SIMD lanes and the batch
+// driver — the ADEPT stand-in) and local semiring SpGEMM. Reports real CUPS / products-per-second of this
 // host, which is useful when re-calibrating sim/machine_model.hpp.
 #include <benchmark/benchmark.h>
 
@@ -35,6 +35,35 @@ void BM_SmithWatermanFull(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SmithWatermanFull)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
+
+// The same full Smith-Waterman on the SIMD lane kernel: 16 pairs of the
+// given length per iteration (one pass of 16 lanes with AVX-512, two of 8
+// with AVX2, scalar without either). CUPS divided by BM_SmithWatermanFull's
+// at the same length is the lanes/scalar speedup of this host.
+void BM_SmithWatermanLanes(benchmark::State& state) {
+  constexpr std::size_t kPairs = 16;
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto seqs = random_proteins(2 * kPairs, len, 42);
+  std::vector<std::string_view> q, r;
+  for (std::size_t k = 0; k < kPairs; ++k) {
+    q.emplace_back(seqs[2 * k]);
+    r.emplace_back(seqs[2 * k + 1]);
+  }
+  std::vector<align::AlignResult> out(kPairs);
+  const auto scoring = align::Scoring::pastis_default();
+  for (auto _ : state) {
+    align::smith_waterman_lanes(q, r, scoring, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["CUPS"] = benchmark::Counter(
+      static_cast<double>(len) * static_cast<double>(len) *
+          static_cast<double>(kPairs) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["lanes"] = static_cast<double>(align::sw_lane_width());
+}
+BENCHMARK(BM_SmithWatermanLanes)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_SmithWatermanScoreOnly(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));
@@ -77,15 +106,12 @@ void BM_XDrop(benchmark::State& state) {
 BENCHMARK(BM_XDrop)->Arg(256)->Arg(1024);
 
 void BM_BatchAligner(benchmark::State& state) {
-  const int devices = static_cast<int>(state.range(0));
   const auto seqs = random_proteins(64, 200, 46);
   std::vector<align::AlignTask> tasks;
   for (std::uint32_t i = 0; i < 64; ++i) {
     for (std::uint32_t j = i + 1; j < 64; j += 8) tasks.push_back({i, j, 0, 0});
   }
-  align::BatchAligner::Config cfg;
-  cfg.devices = devices;
-  const align::BatchAligner aligner(align::Scoring::pastis_default(), cfg);
+  const align::BatchAligner aligner(align::Scoring::pastis_default(), {});
   auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -97,7 +123,7 @@ void BM_BatchAligner(benchmark::State& state) {
           static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BatchAligner)->Arg(1)->Arg(6);
+BENCHMARK(BM_BatchAligner);
 
 sparse::SpMat<int> random_sparse(sparse::Index n, double density,
                                  std::uint64_t seed) {

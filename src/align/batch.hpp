@@ -1,13 +1,14 @@
 // Batch pairwise aligner modelled on ADEPT [Awan et al., BMC Bioinformatics
 // 2020], the GPU library the paper dedicates Summit's V100s to.
 //
-// ADEPT's driver detects the node's GPUs, splits a batch of alignments
-// across them, and runs one host thread per device for packing and
-// transfers. We reproduce that architecture: `devices` logical accelerators,
-// each fed a slice of the batch by a driver thread. Alignment *results* are
-// computed exactly (CPU kernels from this module's siblings); alignment
-// *time* is charged to the device model (cells / GCUPS), which is how every
-// paper-facing number stays hardware-independent.
+// ADEPT's driver detects the node's GPUs and splits a batch of alignments
+// across them. We keep that split as accounting: `devices` logical
+// accelerators, each assigned a DP-size-balanced slice of the batch, whose
+// modeled time (cells / GCUPS) is how every paper-facing number stays
+// hardware-independent. Alignment *results* are computed exactly on the
+// host, by one flattened entry point (align_tasks) that packs full
+// Smith-Waterman pairs onto SIMD lanes and spreads the lane groups over the
+// host pool; the device split does not shape host execution.
 #pragma once
 
 #include <cstdint>
@@ -86,10 +87,10 @@ class BatchAligner {
     int xdrop = 25;
     std::uint32_t seed_len = 6;
     /// Telemetry sinks (null = off). With metrics, every accounted batch
-    /// adds per-lane cells/pairs counters ("align.lane<d>.cells_total"),
-    /// batch totals, and a measured cells/second histogram per driver lane
-    /// from the workspace align_batch; with a tracer, each batch run is a
-    /// measured span. Results are unaffected.
+    /// adds per-device cells/pairs counters ("align.lane<d>.cells_total"),
+    /// batch totals, and one measured host cells/second sample per
+    /// align_batch call ("align.batch_cells_per_second"); with a tracer,
+    /// each batch run is a measured span. Results are unaffected.
     obs::Telemetry telemetry;
   };
 
@@ -99,12 +100,10 @@ class BatchAligner {
   /// Resolves sequence residues for a global sequence id.
   using SeqAccessor = std::function<std::string_view(std::uint32_t)>;
 
-  /// Aligns every task. When `pool` is non-null the batch is split across
-  /// `config.devices` driver lanes executed on the pool (the ADEPT driver
-  /// layout); otherwise it runs inline in the calling thread (the mode used
-  /// inside the simulated ranks, which are already running in parallel).
-  /// Results are positionally parallel to `tasks` and independent of the
-  /// execution mode.
+  /// Aligns every task through align_tasks (on `pool` when non-null,
+  /// otherwise inline in the calling thread) and, with `stats`, adds the
+  /// batch's device-model accounting. Results are positionally parallel to
+  /// `tasks` and independent of the execution mode.
   std::vector<AlignResult> align_batch(const SeqAccessor& seq_of,
                                        std::span<const AlignTask> tasks,
                                        BatchStats* stats = nullptr,
@@ -119,56 +118,49 @@ class BatchAligner {
                                            BatchStats* stats = nullptr,
                                            util::ThreadPool* pool = nullptr) const;
 
-  /// Aligns a single task (element-wise identical to align_batch). The
-  /// simulated runtime uses this to flatten many ranks' batches onto one
-  /// host pool while keeping per-rank accounting exact.
+  /// The host execution of every batch path: aligns tasks[t] into
+  /// results[t] (equal sizes), element-wise identical to align_one_task.
+  /// With the full Smith-Waterman kind, tasks are sorted by size into
+  /// groups of sw_lane_width() pairs that each run as one SIMD lane pass
+  /// (smith_waterman_lanes); the groups run across `pool`, or inline when it
+  /// is null. Other kinds, a last group under a quarter full, and hosts
+  /// without a vector body take the per-pair kernels. The pipeline and
+  /// the query engine flatten all ranks' tasks into one call and keep the
+  /// per-rank accounting exact with stats_for.
+  void align_tasks(const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
+                   std::span<AlignResult> results,
+                   util::ThreadPool* pool) const;
+
+  /// Aligns a single task on the scalar kernels (element-wise identical to
+  /// align_tasks).
   [[nodiscard]] AlignResult align_one_task(const SeqAccessor& seq_of,
                                            const AlignTask& task) const {
     return align_pair(seq_of(task.q_id), seq_of(task.r_id), task,
                       config_.kind);
   }
-  /// Same, with an explicit kernel override.
-  [[nodiscard]] AlignResult align_one_task(const SeqAccessor& seq_of,
-                                           const AlignTask& task,
-                                           AlignKind kind) const {
-    return align_pair(seq_of(task.q_id), seq_of(task.r_id), task, kind);
-  }
 
   /// One pair through the table-driven kernel dispatch with an explicit
   /// kind. This is the cascade tiers' entry point: tier 1 probes with a
   /// cheap kind (banded / x-drop), tier 2 re-runs the configured kind —
-  /// all sharing the same scoring, band and x-drop knobs and the same
-  /// lane-assignment/workspace machinery as the batch paths.
+  /// all sharing the same scoring, band and x-drop knobs as the batch
+  /// paths.
   [[nodiscard]] AlignResult align_pair(std::string_view q, std::string_view r,
                                        const AlignTask& task,
                                        AlignKind kind) const;
 
-  /// Device-model accounting for a batch whose results are already known.
-  /// The overload without `lanes` reproduces align_batch's greedy lane
-  /// assignment; when the caller already holds the lanes (align_batch
-  /// itself, or a caller aligning + accounting the same task list), pass
-  /// them through to skip the redundant O(tasks × devices) pass.
-  [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
-                                     std::span<const AlignTask> tasks,
-                                     std::span<const AlignResult> results) const;
-  [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
-                                     std::span<const AlignTask> tasks,
-                                     std::span<const AlignResult> results,
-                                     std::span<const int> lanes) const;
-  /// Allocation-free accounting on a reusable scratch (re-entrant stage
-  /// path): assigns lanes into `scratch` and accumulates through its
-  /// per-device buffers. Identical numbers to the allocating overloads.
+  /// Device-model accounting for a batch whose results are already known:
+  /// assigns the tasks to `config.devices` modeled devices (assign_lanes)
+  /// and charges each device its cells, reusing `scratch`'s buffers so the
+  /// re-entrant stage paths allocate nothing per batch.
   [[nodiscard]] BatchStats stats_for(const SeqAccessor& seq_of,
                                      std::span<const AlignTask> tasks,
                                      std::span<const AlignResult> results,
                                      LaneScratch& scratch) const;
 
-  /// Deterministic device assignment: tasks go to the least-loaded device
-  /// by the DP-size proxy |q|*|r| (the ADEPT driver balances its per-GPU
-  /// batches; plain round-robin quantizes badly when batches are small).
-  [[nodiscard]] std::vector<int> assign_lanes(
-      const SeqAccessor& seq_of, std::span<const AlignTask> tasks) const;
-  /// Scratch variant: fills `scratch.lanes` reusing its capacity.
+  /// Deterministic device assignment into `scratch.lanes`: tasks go to the
+  /// least-loaded device by the DP-size proxy |q|*|r| (the ADEPT driver
+  /// balances its per-GPU batches; plain round-robin quantizes badly when
+  /// batches are small).
   void assign_lanes(const SeqAccessor& seq_of, std::span<const AlignTask> tasks,
                     LaneScratch& scratch) const;
 
@@ -188,12 +180,6 @@ class BatchAligner {
                                        const AlignTask& task) const;
   [[nodiscard]] AlignResult run_xdrop(std::string_view q, std::string_view r,
                                       const AlignTask& task) const;
-  [[nodiscard]] BatchStats stats_with(const SeqAccessor& seq_of,
-                                      std::span<const AlignTask> tasks,
-                                      std::span<const AlignResult> results,
-                                      std::span<const int> lanes,
-                                      std::vector<std::uint64_t>& device_cells,
-                                      std::vector<std::uint64_t>& device_pairs) const;
 
   Scoring scoring_;
   Config config_;

@@ -17,6 +17,7 @@
 #include "align/cascade.hpp"
 #include "align/scoring.hpp"
 #include "align/smith_waterman.hpp"
+#include "align/sw_lanes.hpp"
 #include "align/xdrop.hpp"
 #include "baseline/bruteforce.hpp"
 #include "baseline/replicated_index.hpp"

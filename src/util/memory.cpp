@@ -1,7 +1,14 @@
 #include "util/memory.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#include <malloc.h>
+#define PASTIS_CAP_MALLOC_ARENAS 1
+#endif
 
 namespace pastis::util {
 
@@ -31,5 +38,15 @@ std::uint64_t peak_rss_bytes() {
   return hwm != 0 ? hwm : read_status_kb("VmRSS");
 }
 std::uint64_t current_rss_bytes() { return read_status_kb("VmRSS"); }
+
+void cap_malloc_arenas() {
+#ifdef PASTIS_CAP_MALLOC_ARENAS
+  static const bool applied = [] {
+    if (std::getenv("MALLOC_ARENA_MAX") != nullptr) return false;
+    return mallopt(M_ARENA_MAX, 2) == 1;
+  }();
+  (void)applied;
+#endif
+}
 
 }  // namespace pastis::util

@@ -4,9 +4,12 @@
 #include <exception>
 #include <memory>
 
+#include "util/memory.hpp"
+
 namespace pastis::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  cap_malloc_arenas();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }

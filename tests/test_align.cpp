@@ -1,5 +1,6 @@
 // Alignment kernel tests: Smith-Waterman against an independent reference
-// DP, banded/x-drop variants, and the ADEPT-style batch driver.
+// DP, the SIMD lane kernel against the scalar one, banded/x-drop variants,
+// and the ADEPT-style batch driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +10,9 @@
 #include "align/banded.hpp"
 #include "align/batch.hpp"
 #include "align/smith_waterman.hpp"
+#include "align/sw_lanes.hpp"
 #include "align/xdrop.hpp"
+#include "gen/protein_gen.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -52,6 +55,51 @@ std::string random_protein(pastis::util::Xoshiro256& rng, std::size_t len) {
   std::string s(len, 'A');
   for (auto& c : s) c = aas[rng.below(aas.size())];
   return s;
+}
+
+/// Every AlignResult field, so a lane result can only pass by being the
+/// scalar result.
+void expect_same_result(const pa::AlignResult& got,
+                        const pa::AlignResult& want, const std::string& what) {
+  EXPECT_EQ(got.score, want.score) << what;
+  EXPECT_EQ(got.beg_q, want.beg_q) << what;
+  EXPECT_EQ(got.end_q, want.end_q) << what;
+  EXPECT_EQ(got.beg_r, want.beg_r) << what;
+  EXPECT_EQ(got.end_r, want.end_r) << what;
+  EXPECT_EQ(got.matches, want.matches) << what;
+  EXPECT_EQ(got.align_len, want.align_len) << what;
+  EXPECT_EQ(got.cells, want.cells) << what;
+}
+
+/// Runs `pairs` through every lane body this host supports (and through the
+/// dispatched entry point) and checks each result against smith_waterman.
+void expect_lanes_match_scalar(
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    const pa::Scoring& sc = scoring()) {
+  std::vector<std::string_view> q, r;
+  std::vector<pa::AlignResult> want;
+  for (const auto& [a, b] : pairs) {
+    q.emplace_back(a);
+    r.emplace_back(b);
+    want.push_back(pa::smith_waterman(a, b, sc));
+  }
+  std::vector<std::size_t> widths = pa::detail::sw_lane_bodies();
+  widths.push_back(0);  // 0 = the dispatched smith_waterman_lanes
+  for (const std::size_t w : widths) {
+    std::vector<pa::AlignResult> out(pairs.size());
+    if (w == 0) {
+      pa::smith_waterman_lanes(q, r, sc, out);
+    } else {
+      pa::detail::smith_waterman_lanes_on(w, q, r, sc, out);
+    }
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      expect_same_result(out[k], want[k],
+                         "width " + std::to_string(w) + " pair " +
+                             std::to_string(k) + " (" +
+                             std::to_string(q[k].size()) + "x" +
+                             std::to_string(r[k].size()) + ")");
+    }
+  }
 }
 
 }  // namespace
@@ -181,6 +229,119 @@ TEST(SmithWaterman, MutatedCopyScoresHighIdentity) {
   const auto res = pa::smith_waterman(base, mut, scoring());
   EXPECT_GT(res.identity(), 0.85);
   EXPECT_GT(res.coverage(base.size(), mut.size()), 0.95);
+}
+
+TEST(SwLanes, DispatchedWidthIsTheWidestBody) {
+  const auto bodies = pa::detail::sw_lane_bodies();
+  EXPECT_EQ(pa::sw_lane_width(), bodies.empty() ? 0 : bodies.front());
+  for (const std::size_t w : bodies) EXPECT_LE(w, pa::kMaxSwLanes);
+  EXPECT_TRUE(pa::sw_lanes_fit(65534, 0));
+  EXPECT_FALSE(pa::sw_lanes_fit(65000, 535));
+
+  const std::vector<std::string_view> q = {"MKV", "WW"}, r = {"MKV"};
+  std::vector<pa::AlignResult> out(2);
+  EXPECT_THROW(pa::smith_waterman_lanes(q, r, scoring(), out),
+               std::invalid_argument);
+  EXPECT_THROW(pa::detail::smith_waterman_lanes_on(3, q, q, scoring(), out),
+               std::invalid_argument);
+}
+
+TEST(SwLanes, GeneratorPairsMatchScalar) {
+  pastis::gen::GenConfig gc;
+  gc.seed = 11;
+  gc.n_sequences = 96;
+  gc.mean_length = 160.0;
+  gc.max_length = 700;
+  const auto d = pastis::gen::generate_proteins(gc);
+  // Consecutive sequences (family members sit together unshuffled) plus
+  // strided unrelated ones, in groups of mixed lengths.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (std::size_t i = 0; i + 1 < d.size(); ++i) {
+    pairs.emplace_back(d.seqs[i], d.seqs[i + 1]);
+    pairs.emplace_back(d.seqs[i], d.seqs[(i * 37 + 5) % d.size()]);
+  }
+  expect_lanes_match_scalar(pairs);
+  // The alternative matrices and gap costs take the same lanes.
+  const pa::Scoring pam(pa::Scoring::Matrix::kPam250, 3, 1);
+  pairs.resize(40);
+  expect_lanes_match_scalar(pairs, pam);
+}
+
+TEST(SwLanes, EveryLaneOccupancyMatchesScalar) {
+  pastis::util::Xoshiro256 rng(71);
+  for (std::size_t occupied = 1; occupied <= pa::kMaxSwLanes + 1; ++occupied) {
+    std::vector<std::pair<std::string, std::string>> pairs;
+    const std::string anchor = random_protein(rng, 90);
+    for (std::size_t k = 0; k < occupied; ++k) {
+      std::string q = random_protein(rng, 20 + rng.below(100));
+      std::string r = random_protein(rng, 20 + rng.below(100));
+      if (k % 2 == 0) {  // related lanes: long positive paths
+        q += anchor.substr(0, 30 + rng.below(60));
+        r = anchor.substr(rng.below(20)) + r;
+      }
+      pairs.emplace_back(std::move(q), std::move(r));
+    }
+    expect_lanes_match_scalar(pairs);
+  }
+}
+
+TEST(SwLanes, EdgeCaseSequencesMatchScalar) {
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"", ""},
+      {"", "MKV"},
+      {"MKV", ""},
+      {"W", "W"},
+      {"W", "A"},
+      {"A", "MKVLAETGWT"},
+      {"mkvlaetgwt", "MKVLAETGWT"},       // lowercase encodes like uppercase
+      {"MKV*XUOJ", "mkv*xuoj"},           // stop, unknown and folded letters
+      {"UUUU", "CCCC"},                   // U folds to C: matches count
+      {"OOJJ", "KKLL"},
+      {"XXXXXXXX", "XXXX"},
+      {"??##", "XXXX"},                   // unknown characters map to X
+      {"ACDEFGHIKLMNPQRSTVWYBZX*", "*XZBYWVTSRQPNMLKIHGFEDCA"},
+  };
+  expect_lanes_match_scalar(pairs);
+}
+
+TEST(SwLanes, MismatchAndTieHeavyPairsMatchScalar) {
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"WWWWWWWW", "PPPPPPPPPPPP"},   // all mismatch: score 0, empty window
+      {"GGGGGG", "WWWWWWWWW"},
+      {"WWWW", "WWWW"},
+      {"WWWW", "WWWWWWWWWWWW"},       // many equal-scoring placements
+      {"WWWWWWWWWWWW", "WWWW"},
+      {"AAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAA"},
+      {"WAWAWAWAWAWAWAWAWAWA", "AWAWAWAWAWAWAW"},  // periodic motifs
+      {"MKVMKVMKVMKVMKVMKV", "KVMKVMKVMKVM"},
+      {"WWWWCCWWWW", "WWWWWWWW"},     // ties between gap placements
+      {"CWCWCWCWCW", "WCWCWCWC"},
+      {"ACACACACACACACAC", "CACACACA"},
+      {"QQQQQQQQQQNNNNNNNNNN", "NNNNNNNNNNQQQQQQQQQQ"},
+  };
+  expect_lanes_match_scalar(pairs);
+  // The same pairs with free gaps, where E/F ties with H are everywhere.
+  const pa::Scoring free_gaps(pa::Scoring::Matrix::kBlosum62, 0, 0);
+  expect_lanes_match_scalar(pairs, free_gaps);
+}
+
+TEST(SwLanes, PackingLimitAndOverLongPairs) {
+  pastis::util::Xoshiro256 rng(83);
+  // m + n = 65534: the longest pair the packed statistics hold, aligned
+  // near the end of the query so beg_q uses the top bit of its 16.
+  const std::string r = random_protein(rng, 40);
+  std::string q = random_protein(rng, 65534 - 40 - 40) + r;
+  q += random_protein(rng, 65534 - 40 - q.size());
+  ASSERT_TRUE(pa::sw_lanes_fit(q.size(), r.size()));
+  ASSERT_FALSE(pa::sw_lanes_fit(q.size() + 1, r.size()));
+  // m + n = 65535 and beyond take the scalar kernel, alone or mixed into a
+  // group with fitting pairs.
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {q, r}, {q + "W", r}, {r, q + "WW"}, {"MKVLAETGWT", "MKVLAETGWT"}};
+  expect_lanes_match_scalar(pairs);
+  const auto res = pa::smith_waterman(q, r, scoring());
+  EXPECT_GT(res.beg_q, 32768u);
+  EXPECT_EQ(res.matches, 40u);
 }
 
 TEST(Banded, FullWidthEqualsUnbanded) {
@@ -317,4 +478,64 @@ TEST(Batch, BandedModeUsesSeeds) {
   const auto res = aligner.align_batch(
       [&](std::uint32_t id) { return std::string_view(seqs[id]); }, tasks);
   EXPECT_EQ(res[0].score, 6 * 11);
+}
+
+TEST(Batch, AlignTasksMatchesPerPairKernelsAcrossPools) {
+  pastis::gen::GenConfig gc;
+  gc.seed = 19;
+  gc.n_sequences = 60;
+  gc.mean_length = 120.0;
+  gc.max_length = 500;
+  const auto d = pastis::gen::generate_proteins(gc);
+  std::vector<std::string> seqs = d.seqs;
+  seqs.push_back("");
+  seqs.push_back("W");
+  auto seq_of = [&](std::uint32_t id) { return std::string_view(seqs[id]); };
+  std::vector<pa::AlignTask> tasks;
+  const auto n = static_cast<std::uint32_t>(seqs.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; j += 1 + (i % 4)) {
+      tasks.push_back({i, j, 0, 0});
+    }
+  }
+
+  for (const pa::AlignKind kind : {pa::AlignKind::kFullSW, pa::AlignKind::kBanded}) {
+    pa::BatchAligner::Config cfg;
+    cfg.kind = kind;
+    const pa::BatchAligner aligner(scoring(), cfg);
+    std::vector<pa::AlignResult> want;
+    for (const auto& task : tasks) {
+      want.push_back(aligner.align_one_task(seq_of, task));
+    }
+    for (const std::size_t threads : {1, 2, 8}) {
+      pastis::util::ThreadPool pool(threads);
+      std::vector<pa::AlignResult> got(tasks.size());
+      aligner.align_tasks(seq_of, tasks, got, &pool);
+      for (std::size_t t = 0; t < tasks.size(); ++t) {
+        expect_same_result(got[t], want[t],
+                           "kind " + std::to_string(static_cast<int>(kind)) +
+                               " pool " + std::to_string(threads) + " task " +
+                               std::to_string(t));
+      }
+    }
+    // Inline execution and the batch entry points agree too.
+    std::vector<pa::AlignResult> inline_res(tasks.size());
+    aligner.align_tasks(seq_of, tasks, inline_res, nullptr);
+    const auto batch_res = aligner.align_batch(seq_of, tasks);
+    ASSERT_EQ(batch_res.size(), tasks.size());
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      expect_same_result(batch_res[t], inline_res[t], "batch " + std::to_string(t));
+    }
+  }
+  // Every task list size, including lane tails under a quarter full.
+  const pa::BatchAligner aligner(scoring(), {});
+  for (std::size_t count = 0; count <= 2 * pa::kMaxSwLanes + 3; ++count) {
+    const std::span<const pa::AlignTask> head(tasks.data(), count);
+    std::vector<pa::AlignResult> got(count);
+    aligner.align_tasks(seq_of, head, got, nullptr);
+    for (std::size_t t = 0; t < count; ++t) {
+      expect_same_result(got[t], aligner.align_one_task(seq_of, head[t]),
+                         "count " + std::to_string(count));
+    }
+  }
 }
