@@ -184,11 +184,7 @@ void BatchAligner::align_tasks(const SeqAccessor& seq_of,
     for (std::size_t k = 0; k < len; ++k) results[grouped[g0 + k].t] = out[k];
   };
   const std::size_t items = single.size() + n_groups;
-  if (pool != nullptr) {
-    pool->parallel_for(items, run);
-  } else {
-    for (std::size_t item = 0; item < items; ++item) run(item);
-  }
+  util::parallel_for(pool, items, run);
 }
 
 std::span<const AlignResult> BatchAligner::align_batch(

@@ -10,12 +10,15 @@
 // a per-tier score cutoff. Tier 2 is the existing batch path: the
 // configured alignment kind runs only on pairs that survive both screens.
 //
-// Every tier is disabled by default, so the exact path is bit-identical by
-// construction (a single branch per candidate). The `exact()` preset
-// enables both tiers with thresholds that reject nothing — the screens run
-// and report their measured work, but the output is still bit-identical —
-// and `fast()` is the documented throughput preset whose ≥2x alignment-cell
-// reduction at ≥0.95 recall is hard-gated by bench_sensitivity_cascade.
+// The tiers run as passes of core::screen_candidates (core/stages.hpp),
+// the one screen stage the pipeline and the query engine share. Every tier
+// is disabled by default, so the exact path is bit-identical by
+// construction (no candidate is even staged for screening). The `exact()`
+// preset enables both tiers with thresholds that reject nothing — the
+// screens run and report their measured work, but the output is still
+// bit-identical — and `fast()` is the documented throughput preset whose
+// ≥2x alignment-cell reduction at ≥0.95 recall is hard-gated by
+// bench_sensitivity_cascade.
 #pragma once
 
 #include <cstdint>
@@ -150,17 +153,5 @@ struct UngappedExtension {
                               const AlignTask& task,
                               const BatchAligner& aligner,
                               const CascadeOptions& opt, TierStats& ts);
-
-/// Whole-cascade screen of one candidate (tier 0 then tier 1). With every
-/// tier disabled this is a single branch and the pair always survives —
-/// the exact path by construction.
-[[nodiscard]] bool cascade_keep(std::string_view q, std::string_view r,
-                                const AlignTask& task,
-                                std::uint32_t shared_kmers,
-                                std::span<const Seed> seeds,
-                                int sketch_overlap,
-                                const BatchAligner& aligner,
-                                const CascadeOptions& opt,
-                                CascadeStats& stats);
 
 }  // namespace pastis::align

@@ -581,8 +581,7 @@ Clustering markov_cluster_distributed(const SimilarityGraph& g,
   });
   M0 = SpMat<float>();
 
-  const bool fused =
-      opt.fused && opt.kernel == sparse::SpGemmKernel::kHash2Phase;
+  const bool fused = opt.kernel == sparse::SpGemmKernel::kHash2Phase;
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
       opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;
@@ -897,8 +896,7 @@ Clustering markov_cluster(const SimilarityGraph& g, const MclOptions& opt,
     return canonicalize(labels);
   }
 
-  const bool fused =
-      opt.fused && opt.kernel == sparse::SpGemmKernel::kHash2Phase;
+  const bool fused = opt.kernel == sparse::SpGemmKernel::kHash2Phase;
   const bool dropout = opt.dropout_iterations != 0;
   const double drop_eps =
       opt.dropout_epsilon > 0.0 ? opt.dropout_epsilon : opt.chaos_epsilon;

@@ -52,7 +52,13 @@ struct MclOptions {
   /// plain MCL's loop weight 1 is the special case of unit-weight graphs).
   double self_loop_scale = 1.0;
   /// Expansion kernel; the parallel two-phase kernel is the default and
-  /// the serial hash/heap oracles remain as cross-checks.
+  /// the serial hash/heap oracles remain as cross-checks. kHash2Phase runs
+  /// the fused iteration (sparse::spgemm_hash2p_fused): inflate + prune +
+  /// chaos happen inside the expansion's numeric phase, so each flow
+  /// column is powered, renormalized, capped and chaos-accumulated while
+  /// hot and the flow matrix is written to DCSR exactly once per
+  /// iteration. The oracles expand, then prune, with the SAME per-column
+  /// epilogue, so every kernel gives bit-identical clusterings.
   sparse::SpGemmKernel kernel = sparse::SpGemmKernel::kHash2Phase;
   /// Threads one expansion may fan out to (0 = whole pool) — scheduling
   /// only, never results.
@@ -64,15 +70,6 @@ struct MclOptions {
   /// tightening depends only on deterministic byte counts, so results
   /// remain thread-count invariant.
   std::uint64_t memory_budget_bytes = 0;
-  /// Fuse inflate + prune + chaos into the expansion's numeric phase
-  /// (sparse::spgemm_hash2p_fused): each flow column is powered,
-  /// renormalized, capped and chaos-accumulated while hot, and the flow
-  /// matrix is written to DCSR exactly once per iteration. Only applies
-  /// when `kernel == kHash2Phase` (the serial oracles stay expand-then-
-  /// prune); both paths run the SAME per-column epilogue, so fused on/off
-  /// is bit-identical — it is a performance knob, kept toggleable as its
-  /// own oracle.
-  bool fused = true;
   /// Converged-column dropout: a column whose chaos stayed below
   /// dropout_epsilon for this many consecutive iterations — and whose
   /// support columns all did too — skips recompute (its flow column is

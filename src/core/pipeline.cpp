@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "core/kmer_matrix.hpp"
 #include "core/load_balance.hpp"
@@ -38,10 +39,7 @@ struct BlockSlot {
   std::vector<std::vector<io::SimilarityEdge>> edges;   // per rank
   std::vector<double> sparse_s, align_s;                // per rank, dilated
   std::vector<std::uint64_t> local_bytes;               // per rank
-  std::vector<align::LaneScratch> lane_scratch;         // per rank
-  align::AlignWorkspace ws;                             // flattened DP batch
-  std::vector<align::AlignTask> flat_tasks;
-  std::vector<std::size_t> rank_offset;
+  FlatAlignPass aligned;
 
   void reset(int p) {
     const auto np = static_cast<std::size_t>(p);
@@ -51,15 +49,12 @@ struct BlockSlot {
     for (auto& t : tasks) t.clear();
     if (cands.size() != np) cands.resize(np);
     for (auto& c : cands) c.clear();
-    cascade.assign(np, align::CascadeStats{});
+    cascade.clear();
     if (edges.size() != np) edges.resize(np);
     for (auto& e : edges) e.clear();
     sparse_s.assign(np, 0.0);
     align_s.assign(np, 0.0);
     local_bytes.assign(np, 0);
-    if (lane_scratch.size() != np) lane_scratch.resize(np);
-    flat_tasks.clear();
-    rank_offset.assign(np + 1, 0);
   }
 };
 
@@ -68,7 +63,11 @@ struct BlockSlot {
 SimilaritySearch::SimilaritySearch(PastisConfig config,
                                    sim::MachineModel model, int nprocs,
                                    util::ThreadPool* pool)
-    : config_(config), model_(model), nprocs_(nprocs), pool_(pool) {}
+    : config_(config), model_(model), nprocs_(nprocs), pool_(pool) {
+  if (config_.pipeline_depth < 1) {
+    throw std::invalid_argument("SimilaritySearch: need pipeline_depth >= 1");
+  }
+}
 
 SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   util::Timer wall;
@@ -82,9 +81,8 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   st.nprocs = p;
   st.block_rows = cfg.block_rows;
   st.block_cols = cfg.block_cols;
-  const int depth = cfg.effective_pipeline_depth();
+  const int depth = cfg.pipeline_depth;
   st.pipeline_depth = depth;
-  st.preblocking = depth >= 2;
 
   DistSeqStore store(std::move(seqs), p);
   const Index n = store.size();
@@ -191,24 +189,19 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
   // strictly in block order — results and counters are therefore
   // bit-identical to the depth-1 serial oracle for any depth.
   const align::BatchAligner aligner = make_batch_aligner(cfg, model_);
-  auto seq_of = [&](std::uint32_t id) { return store.seq(id); };
+  const align::BatchAligner::SeqAccessor seq_of = [&](std::uint32_t id) {
+    return store.seq(id);
+  };
 
   // Discovery-compute dilations: the blocked-SUMMA split penalty (§VI-A,
   // always active) and the overlapped CPU-sharing contention (§VI-C).
-  const double ds =
-      model_.split_dilation(br, bc) *
-      (st.preblocking ? model_.preblock_sparse_dilation() : 1.0);
-  const double da = st.preblocking ? model_.preblock_align_dilation : 1.0;
+  const double ds = model_.split_dilation(br, bc) *
+                    (depth >= 2 ? model_.preblock_sparse_dilation() : 1.0);
+  const double da = depth >= 2 ? model_.preblock_align_dilation : 1.0;
 
   const std::size_t n_blocks = plan.blocks().size();
   st.block_sparse_s.assign(n_blocks, 0.0);
   st.block_align_s.assign(n_blocks, 0.0);
-  if (cfg.collect_rank_block_timeline) {
-    st.rank_block_sparse_s.assign(
-        n_blocks, std::vector<double>(static_cast<std::size_t>(p), 0.0));
-    st.rank_block_align_s.assign(
-        n_blocks, std::vector<double>(static_cast<std::size_t>(p), 0.0));
-  }
   std::vector<std::vector<io::SimilarityEdge>> rank_edges(
       static_cast<std::size_t>(p));
 
@@ -287,56 +280,19 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         });
         if (!cascading) return;
 
-        // Tier passes over the staged candidates: each tier compacts every
-        // rank's list in place and runs as its own traced pass, so tier-k
-        // of this block overlaps tier-(k+1) of the previous block through
-        // the streaming executor's stage graph.
-        for (int tier = 0; tier < 2; ++tier) {
-          if (tier == 0 ? !cfg.cascade.tier0_enabled
-                        : !cfg.cascade.tier1_enabled) {
-            continue;
-          }
-          std::size_t in = 0;
-          for (const auto& v : s.cands) in += v.size();
-          obs::Span span(cfg.telemetry.tracer,
-                         tier == 0 ? "cascade.tier0" : "cascade.tier1");
-          rt.spmd([&](int rank) {
-            const auto ri = static_cast<std::size_t>(rank);
-            auto& v = s.cands[ri];
-            auto& cs = s.cascade[ri];
-            std::size_t w = 0;
-            for (auto& c : v) {
-              const std::string_view q = store.seq(c.task.q_id);
-              const std::string_view r = store.seq(c.task.r_id);
-              const bool keep =
-                  tier == 0
-                      ? align::tier0_keep(
-                            q, r, std::span<const align::Seed>(
-                                      c.seeds, static_cast<std::size_t>(
-                                                   c.n_seeds)),
-                            c.count, c.sketch_overlap, aligner, cfg.cascade,
-                            cs.tier0)
-                      : align::tier1_keep(q, r, c.task, aligner, cfg.cascade,
-                                          cs.tier1);
-              if (keep) v[w++] = c;
-            }
-            v.resize(w);
-          });
-          std::size_t out = 0;
-          for (const auto& v : s.cands) out += v.size();
-          span.arg("pairs_in", static_cast<double>(in));
-          span.arg("pairs_out", static_cast<double>(out));
-        }
+        // Tier passes over the staged candidates: each tier runs as its own
+        // traced pass, so tier-k of this block overlaps tier-(k+1) of the
+        // previous block through the streaming executor's stage graph.
+        screen_candidates(s.cands, s.tasks, s.cascade, seq_of, aligner,
+                          cfg.cascade, cfg.telemetry, pool_);
 
-        // Survivors become the block's alignment tasks; the screens' own
-        // modeled cost lands on the rank clocks (tier 0 beside the sparse
-        // extraction passes, tier 1 as device DP work) and on the block's
-        // sparse timeline slot — the screen stage is what overlaps the
-        // previous block's alignment.
+        // The screens' own modeled cost lands on the rank clocks (tier 0
+        // beside the sparse extraction passes, tier 1 as device DP work)
+        // and on the block's sparse timeline slot — the screen stage is
+        // what overlaps the previous block's alignment.
         rt.spmd([&](int rank) {
           const auto ri = static_cast<std::size_t>(rank);
           auto& clock = s.frame[ri];
-          for (const auto& c : s.cands[ri]) s.tasks[ri].push_back(c.task);
           const auto [t0s, t1s] = modeled_screen_seconds(model_, s.cascade[ri]);
           if (t0s > 0.0) clock.charge(Comp::kSparseOther, t0s * ds);
           if (t1s > 0.0) clock.charge(Comp::kAlign, t1s * da);
@@ -352,25 +308,14 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
         // rank's own slice afterwards, so the flattening is invisible to
         // the modeled timings — it only stops a skewed rank from idling
         // host cores).
-        for (int r = 0; r < p; ++r) {
-          s.rank_offset[static_cast<std::size_t>(r) + 1] =
-              s.rank_offset[static_cast<std::size_t>(r)] +
-              s.tasks[static_cast<std::size_t>(r)].size();
-        }
-        s.flat_tasks.reserve(s.rank_offset.back());
-        for (const auto& v : s.tasks) {
-          s.flat_tasks.insert(s.flat_tasks.end(), v.begin(), v.end());
-        }
-        s.ws.results.assign(s.flat_tasks.size(), align::AlignResult{});
-        aligner.align_tasks(seq_of, s.flat_tasks, s.ws.results, pool_);
+        s.aligned.run(s.tasks, seq_of, aligner, pool_);
 
         // Per-rank filtering + device-model charging.
         rt.spmd([&](int rank) {
           const auto ri = static_cast<std::size_t>(rank);
           auto& clock = s.frame[ri];
           const auto& tasks = s.tasks[ri];
-          const std::span<const align::AlignResult> results(
-              s.ws.results.data() + s.rank_offset[ri], tasks.size());
+          const auto results = s.aligned.results(rank);
 
           for (std::size_t t = 0; t < tasks.size(); ++t) {
             if (auto edge = edge_if_similar(
@@ -383,7 +328,7 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
 
           // Charge the device model (with overlap contention dilation).
           const align::BatchStats bstats =
-              aligner.stats_for(seq_of, tasks, results, s.lane_scratch[ri]);
+              s.aligned.rank_stats(rank, seq_of, aligner);
           const double kernel = balanced_kernel_seconds(model_, bstats.cells);
           const double align_s =
               modeled_align_seconds(model_, bstats, tasks.size(), da);
@@ -415,10 +360,6 @@ SearchResult SimilaritySearch::run(std::vector<std::string> seqs) const {
             *std::max_element(s.sparse_s.begin(), s.sparse_s.end());
         st.block_align_s[bi] =
             *std::max_element(s.align_s.begin(), s.align_s.end());
-        if (cfg.collect_rank_block_timeline) {
-          st.rank_block_sparse_s[bi] = s.sparse_s;
-          st.rank_block_align_s[bi] = s.align_s;
-        }
         s.C = DistSpMat<CommonKmers>();  // release the block early
       }};
 

@@ -12,10 +12,11 @@
 //
 // Streaming execution (§VI-C generalized): the block loop runs on the
 // streaming executor (exec/stream_pipeline.hpp) as a software pipeline of
-// {discover, screen, align} stages with cfg.effective_pipeline_depth()
-// blocks in flight — depth 1 is the serial loop, depth 2 the paper's
-// pre-blocking (cfg.preblocking maps here), deeper depths its
-// generalization under the bounded-memory admission gate. Results are
+// {discover, screen, align} stages with cfg.pipeline_depth blocks in
+// flight — depth 1 is the serial loop, depth 2 the paper's pre-blocking,
+// deeper depths its generalization under the bounded-memory admission
+// gate. The screen and align stage bodies are the shared stage functions
+// of core/stages.hpp, which the query engine's serving stream calls too. Results are
 // identical for ANY depth (the schedule changes, not the data); the
 // modeled timeline charges the overlapped phases as the pipeline makespan
 // (for depth 2, exactly max(align_b, sparse_{b+1}) summed — the accounting
@@ -55,6 +56,7 @@ struct ClusteredSearchResult {
 
 class SimilaritySearch {
  public:
+  /// Throws std::invalid_argument when config.pipeline_depth < 1.
   SimilaritySearch(PastisConfig config, sim::MachineModel model, int nprocs,
                    util::ThreadPool* pool = &util::ThreadPool::global());
 

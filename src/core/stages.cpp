@@ -5,6 +5,7 @@
 
 #include "kmer/extract.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace pastis::core {
 
@@ -63,6 +64,81 @@ std::optional<io::SimilarityEdge> edge_if_similar(
   if (ani < cfg.ani_threshold || cov < cfg.cov_threshold) return std::nullopt;
   return io::SimilarityEdge{task.q_id, task.r_id, static_cast<float>(ani),
                             static_cast<float>(cov), result.score};
+}
+
+void screen_candidates(std::vector<std::vector<ScreenCandidate>>& cands,
+                       std::vector<std::vector<align::AlignTask>>& tasks,
+                       std::vector<align::CascadeStats>& stats,
+                       const align::BatchAligner::SeqAccessor& seq_of,
+                       const align::BatchAligner& aligner,
+                       const align::CascadeOptions& opt,
+                       const obs::Telemetry& telemetry,
+                       util::ThreadPool* pool) {
+  const std::size_t np = cands.size();
+  stats.assign(np, align::CascadeStats{});
+  const auto total = [&] {
+    std::size_t n = 0;
+    for (const auto& v : cands) n += v.size();
+    return static_cast<double>(n);
+  };
+  for (int tier = 0; tier < 2; ++tier) {
+    if (!(tier == 0 ? opt.tier0_enabled : opt.tier1_enabled)) continue;
+    const double pairs_in = total();
+    obs::Span span(telemetry.tracer,
+                   tier == 0 ? "cascade.tier0" : "cascade.tier1");
+    util::parallel_for(pool, np, [&](std::size_t r) {
+      auto& v = cands[r];
+      auto& cs = stats[r];
+      std::size_t kept = 0;
+      for (const auto& c : v) {
+        const std::string_view q = seq_of(c.task.q_id);
+        const std::string_view s = seq_of(c.task.r_id);
+        const bool keep =
+            tier == 0
+                ? align::tier0_keep(
+                      q, s, {c.seeds, static_cast<std::size_t>(c.n_seeds)},
+                      c.count, c.sketch_overlap, aligner, opt, cs.tier0)
+                : align::tier1_keep(q, s, c.task, aligner, opt, cs.tier1);
+        if (keep) v[kept++] = c;
+      }
+      v.resize(kept);
+    });
+    span.arg("pairs_in", pairs_in);
+    span.arg("pairs_out", total());
+  }
+  for (std::size_t r = 0; r < np; ++r) {
+    tasks[r].reserve(tasks[r].size() + cands[r].size());
+    for (const auto& c : cands[r]) tasks[r].push_back(c.task);
+  }
+}
+
+void FlatAlignPass::run(
+    const std::vector<std::vector<align::AlignTask>>& rank_tasks,
+    const align::BatchAligner::SeqAccessor& seq_of,
+    const align::BatchAligner& aligner, util::ThreadPool* pool) {
+  tasks_.clear();
+  offset_.assign(1, 0);
+  for (const auto& v : rank_tasks) {
+    tasks_.insert(tasks_.end(), v.begin(), v.end());
+    offset_.push_back(tasks_.size());
+  }
+  results_.assign(tasks_.size(), align::AlignResult{});
+  scratch_.resize(rank_tasks.size());
+  aligner.align_tasks(seq_of, tasks_, results_, pool);
+}
+
+std::span<const align::AlignResult> FlatAlignPass::results(int r) const {
+  const auto ri = static_cast<std::size_t>(r);
+  return {results_.data() + offset_[ri], offset_[ri + 1] - offset_[ri]};
+}
+
+align::BatchStats FlatAlignPass::rank_stats(
+    int r, const align::BatchAligner::SeqAccessor& seq_of,
+    const align::BatchAligner& aligner) {
+  const auto ri = static_cast<std::size_t>(r);
+  const std::span<const align::AlignTask> tasks(
+      tasks_.data() + offset_[ri], offset_[ri + 1] - offset_[ri]);
+  return aligner.stats_for(seq_of, tasks, results(r), scratch_[ri]);
 }
 
 void add_cascade_counters(const obs::Telemetry& telemetry,

@@ -4,9 +4,11 @@
 // (core/pipeline.cpp, paper Fig. 4), the query-serving engine
 // (index/query_engine.cpp, the §III annotation use case) and the
 // replicated-index baseline (baseline/replicated_index.cpp). The first two
-// wire these leaf helpers into executor nodes on the streaming blocked
-// executor (exec/stream_pipeline.hpp), each node reading/writing an
-// explicit per-slot state; the baseline calls them per replicated chunk.
+// wire these leaf helpers — and the shared screen and align stage bodies,
+// screen_candidates and FlatAlignPass — into executor nodes on the
+// streaming blocked executor (exec/stream_pipeline.hpp), each node
+// reading/writing an explicit per-slot state; the baseline calls the leaf
+// helpers per replicated chunk.
 // Factoring the stage logic here keeps all consumers bit-identical by
 // construction — the canonical task orientation, the ANI/coverage filter
 // and the modeled device-time formula are written exactly once.
@@ -106,6 +108,53 @@ struct ScreenCandidate {
   int n_seeds = 0;                // valid entries in `seeds`
   align::Seed seeds[2];           // canonical-orientation min/max seeds
   int sketch_overlap = -1;        // minhash slot agreement; -1 = no sketch
+};
+
+/// The cascade's screen stage, shared by the block loop and serving. Each
+/// enabled tier is its own pass over every rank's candidate list, run on
+/// `pool` (serially when it is null) under a cascade.tier<k> span whose
+/// pairs_in/pairs_out args count the candidates across ranks; a pass
+/// compacts `cands[r]` in place. Afterwards `stats[r]` holds rank r's
+/// per-tier work and the survivors' tasks are appended to `tasks[r]` in
+/// candidate order. With every tier off all candidates survive and the
+/// stats stay zero.
+void screen_candidates(std::vector<std::vector<ScreenCandidate>>& cands,
+                       std::vector<std::vector<align::AlignTask>>& tasks,
+                       std::vector<align::CascadeStats>& stats,
+                       const align::BatchAligner::SeqAccessor& seq_of,
+                       const align::BatchAligner& aligner,
+                       const align::CascadeOptions& opt,
+                       const obs::Telemetry& telemetry,
+                       util::ThreadPool* pool);
+
+/// The align stage's host execution, shared by the block loop and serving:
+/// run() flattens every rank's tasks into ONE BatchAligner::align_tasks
+/// call, so a skewed rank never idles host cores, and each rank's slice is
+/// handed back for the caller's own filtering and device-model charging.
+/// An executor slot keeps one pass, so its buffers keep their capacity
+/// across the items the slot serves.
+class FlatAlignPass {
+ public:
+  void run(const std::vector<std::vector<align::AlignTask>>& rank_tasks,
+           const align::BatchAligner::SeqAccessor& seq_of,
+           const align::BatchAligner& aligner, util::ThreadPool* pool);
+
+  /// Tasks aligned by the last run(), over all ranks.
+  [[nodiscard]] std::size_t size() const { return tasks_.size(); }
+  /// Rank r's results, positionally parallel to its task list.
+  [[nodiscard]] std::span<const align::AlignResult> results(int r) const;
+  /// Device-model accounting of rank r's slice (BatchAligner::stats_for
+  /// on the pass's rank-r lane scratch); callers may run distinct ranks
+  /// concurrently.
+  [[nodiscard]] align::BatchStats rank_stats(
+      int r, const align::BatchAligner::SeqAccessor& seq_of,
+      const align::BatchAligner& aligner);
+
+ private:
+  std::vector<align::AlignTask> tasks_;
+  std::vector<std::size_t> offset_;  // rank r owns [offset_[r], offset_[r+1])
+  std::vector<align::AlignResult> results_;
+  std::vector<align::LaneScratch> scratch_;  // per rank
 };
 
 /// Adds one block/batch's cascade totals to the metrics registry:

@@ -74,11 +74,7 @@ class DistSpMat {
           m.local_ncols(static_cast<int>(rank)), std::move(buckets[rank]),
           combine);
     };
-    if (pool != nullptr) {
-      pool->parallel_for(buckets.size(), build_one);
-    } else {
-      for (std::size_t r = 0; r < buckets.size(); ++r) build_one(r);
-    }
+    util::parallel_for(pool, buckets.size(), build_one);
     return m;
   }
 
@@ -334,11 +330,7 @@ template <typename T>
   auto build_strip = [&](std::size_t gi) {
     row_strips[gi] = hstack_grid_row(A, static_cast<int>(gi));
   };
-  if (pool != nullptr) {
-    pool->parallel_for(row_strips.size(), build_strip);
-  } else {
-    for (std::size_t gi = 0; gi < row_strips.size(); ++gi) build_strip(gi);
-  }
+  util::parallel_for(pool, row_strips.size(), build_strip);
 
   std::vector<SpMat<T>> stripes(static_cast<std::size_t>(p));
   rt.spmd([&](int rank) {
@@ -414,13 +406,7 @@ template <typename T>
         out.local_ncols(static_cast<int>(rank)), std::move(row_ids),
         std::move(row_ptr), std::move(cols), std::move(vals));
   };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(p), build_tile);
-  } else {
-    for (std::size_t r = 0; r < static_cast<std::size_t>(p); ++r) {
-      build_tile(r);
-    }
-  }
+  util::parallel_for(pool, static_cast<std::size_t>(p), build_tile);
   rt.spmd([&](int rank) {
     const std::uint64_t b_out = stripes[static_cast<std::size_t>(rank)].bytes();
     const std::uint64_t b_in = out.local(rank).bytes();

@@ -43,10 +43,7 @@ struct QueryEngine::BatchSlot {
   /// rank, compacted in place by each tier's screen before the survivors
   /// land in rank_tasks.
   std::vector<std::vector<core::ScreenCandidate>> rank_cands;
-  std::vector<AlignTask> flat_tasks;
-  std::vector<std::size_t> rank_offset;
-  align::AlignWorkspace ws;
-  std::vector<align::LaneScratch> lane_scratch;  // per serving rank
+  core::FlatAlignPass aligned;
   std::vector<io::SimilarityEdge> hits;
   /// Distributed mode: the detached per-rank clock frame this batch
   /// charges while concurrent slots are in flight; the engine merges it
@@ -82,9 +79,6 @@ struct QueryEngine::BatchSlot {
     for (auto& t : rank_tasks) t.clear();
     if (rank_cands.size() != np) rank_cands.resize(np);
     for (auto& c : rank_cands) c.clear();
-    flat_tasks.clear();
-    rank_offset.assign(np + 1, 0);
-    if (lane_scratch.size() != np) lane_scratch.resize(np);
     hits.clear();
     snap = {};
     fault_active = false;
@@ -130,6 +124,9 @@ QueryEngine::QueryEngine(const serve::DeltaIndex* delta, const KmerIndex& index,
   }
   if (opt_.nprocs < 1) {
     throw std::invalid_argument("QueryEngine: need nprocs >= 1");
+  }
+  if (opt_.pipeline_depth < 1) {
+    throw std::invalid_argument("QueryEngine: need pipeline_depth >= 1");
   }
   cascade_sig_ = cfg_.cascade.fingerprint();
   next_query_id_ = total_refs();
@@ -357,16 +354,6 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   const kmer::NeighborGenerator neighbors(alphabet, codec, scoring,
                                           cfg_.subs_max_loss);
 
-  // Null pool = serial execution (the convention KmerIndex::build and
-  // core::build_kmer_matrix follow); results are identical either way.
-  auto par_for = [&](std::size_t n, const std::function<void(std::size_t)>& fn) {
-    if (pool_ != nullptr) {
-      pool_->parallel_for(n, fn);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-    }
-  };
-
   const std::size_t nq = queries.size();
 
   // ---- result-cache lookup (serving tier; no-op without a cache) -----------
@@ -397,7 +384,7 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   for (std::size_t i = 0; i < nq; ++i) {
     if (!is_cached(i)) query_residues += queries[i].size();
   }
-  par_for(nq, [&](std::size_t i) {
+  util::parallel_for(pool_, nq, [&](std::size_t i) {
     if (is_cached(i)) return;
     core::extract_sequence_kmers(queries[i], static_cast<Index>(i), alphabet,
                                  codec, neighbors, cfg_.subs_kmers,
@@ -415,7 +402,7 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   std::vector<std::vector<std::uint64_t>> query_sketches;
   if (sketching) {
     query_sketches.resize(nq);
-    par_for(nq, [&](std::size_t i) {
+    util::parallel_for(pool_, nq, [&](std::size_t i) {
       if (is_cached(i)) return;
       query_sketches[i] =
           KmerIndex::sketch_of(queries[i], alphabet, codec,
@@ -438,7 +425,7 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   }
 
   std::vector<SpMat<KmerPos>> a_query(static_cast<std::size_t>(n_shards));
-  par_for(a_query.size(), [&](std::size_t s) {
+  util::parallel_for(pool_, a_query.size(), [&](std::size_t s) {
     const Index cols = index_->shard_begin(static_cast<int>(s) + 1) -
                        index_->shard_begin(static_cast<int>(s));
     a_query[s] = SpMat<KmerPos>::from_triples(
@@ -526,7 +513,8 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
       }
     });
   } else {
-    par_for(static_cast<std::size_t>(n_shards), multiply_shard);
+    util::parallel_for(pool_, static_cast<std::size_t>(n_shards),
+                       multiply_shard);
   }
 
   // Merge in shard order — the semiring add is order-independent, so the
@@ -749,48 +737,16 @@ void QueryEngine::discover_batch(BatchSlot& slot) const {
   // overlaps batch b's alignment, like the rest of discovery).
   if (cascading) {
     const auto np = static_cast<std::size_t>(p);
-    std::vector<align::CascadeStats> rank_cs(np);
-    auto seq_of = [&](std::uint32_t id) -> std::string_view {
+    std::vector<align::CascadeStats> rank_cs;
+    const align::BatchAligner::SeqAccessor seq_of =
+        [&](std::uint32_t id) -> std::string_view {
       return id < static_cast<std::uint32_t>(n_refs)
                  ? ref_seq(static_cast<Index>(id))
                  : queries[id - batch_base];
     };
-    for (int tier = 0; tier < 2; ++tier) {
-      if (tier == 0 && !cfg_.cascade.tier0_enabled) continue;
-      if (tier == 1 && !cfg_.cascade.tier1_enabled) continue;
-      std::size_t pairs_in = 0;
-      for (const auto& v : slot.rank_cands) pairs_in += v.size();
-      obs::Span span(cfg_.telemetry.tracer,
-                     tier == 0 ? "cascade.tier0" : "cascade.tier1");
-      par_for(np, [&](std::size_t ri) {
-        auto& v = slot.rank_cands[ri];
-        auto& cs = rank_cs[ri];
-        std::size_t keep = 0;
-        for (const auto& c : v) {
-          const std::string_view q = seq_of(c.task.q_id);
-          const std::string_view r = seq_of(c.task.r_id);
-          const bool pass =
-              tier == 0
-                  ? align::tier0_keep(
-                        q, r,
-                        {c.seeds, static_cast<std::size_t>(c.n_seeds)},
-                        c.count, c.sketch_overlap, aligner_, cfg_.cascade,
-                        cs.tier0)
-                  : align::tier1_keep(q, r, c.task, aligner_, cfg_.cascade,
-                                      cs.tier1);
-          if (pass) v[keep++] = c;
-        }
-        v.resize(keep);
-      });
-      std::size_t pairs_out = 0;
-      for (const auto& v : slot.rank_cands) pairs_out += v.size();
-      span.arg("pairs_in", static_cast<double>(pairs_in));
-      span.arg("pairs_out", static_cast<double>(pairs_out));
-    }
+    core::screen_candidates(slot.rank_cands, slot.rank_tasks, rank_cs, seq_of,
+                            aligner_, cfg_.cascade, cfg_.telemetry, pool_);
     for (std::size_t ri = 0; ri < np; ++ri) {
-      auto& v = slot.rank_cands[ri];
-      slot.rank_tasks[ri].reserve(v.size());
-      for (const auto& c : v) slot.rank_tasks[ri].push_back(c.task);
       st.cascade.merge(rank_cs[ri]);
       // Modeled per-owner-rank screen cost, folded into the discovery side.
       const auto [t0, t1] = core::modeled_screen_seconds(model_, rank_cs[ri]);
@@ -819,22 +775,12 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
   if (slot.queries.empty() || n_refs == 0) return;
 
   // ---- alignment (flattened onto the host pool, per-rank accounting) -------
-  auto seq_of = [&](std::uint32_t id) -> std::string_view {
+  const align::BatchAligner::SeqAccessor seq_of =
+      [&](std::uint32_t id) -> std::string_view {
     return id < n_refs ? ref_seq(id) : slot.queries[id - slot.batch_base];
   };
-  for (int r = 0; r < p; ++r) {
-    slot.rank_offset[static_cast<std::size_t>(r) + 1] =
-        slot.rank_offset[static_cast<std::size_t>(r)] +
-        slot.rank_tasks[static_cast<std::size_t>(r)].size();
-  }
-  slot.flat_tasks.reserve(slot.rank_offset.back());
-  for (const auto& v : slot.rank_tasks) {
-    slot.flat_tasks.insert(slot.flat_tasks.end(), v.begin(), v.end());
-  }
-  st.aligned_pairs = slot.flat_tasks.size();
-
-  slot.ws.results.assign(slot.flat_tasks.size(), AlignResult{});
-  aligner_.align_tasks(seq_of, slot.flat_tasks, slot.ws.results, pool_);
+  slot.aligned.run(slot.rank_tasks, seq_of, aligner_, pool_);
+  st.aligned_pairs = slot.aligned.size();
 
   // ---- filter + per-rank device accounting ---------------------------------
   auto& hits = slot.hits;
@@ -844,9 +790,7 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
       continue;  // frozen clock; its tasks went to the cyclic successor
     }
     const auto& tasks = slot.rank_tasks[static_cast<std::size_t>(r)];
-    const std::span<const AlignResult> results(
-        slot.ws.results.data() + slot.rank_offset[static_cast<std::size_t>(r)],
-        tasks.size());
+    const auto results = slot.aligned.results(r);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (auto edge = core::edge_if_similar(tasks[t], results[t],
                                             seq_of(tasks[t].q_id).size(),
@@ -854,8 +798,8 @@ void QueryEngine::align_batch(BatchSlot& slot) const {
         hits.push_back(*edge);
       }
     }
-    const align::BatchStats bstats = aligner_.stats_for(
-        seq_of, tasks, results, slot.lane_scratch[static_cast<std::size_t>(r)]);
+    const align::BatchStats bstats =
+        slot.aligned.rank_stats(r, seq_of, aligner_);
     const double t_r =
         core::modeled_align_seconds(model_, bstats, tasks.size(), 1.0);
     st.t_align = std::max(st.t_align, t_r);
@@ -1023,9 +967,8 @@ QueryEngine::Result QueryEngine::serve(
   const int p = serving_ranks();
   st.nprocs = p;
   st.n_shards = index_->n_shards();
-  const int depth = opt_.effective_pipeline_depth();
+  const int depth = opt_.pipeline_depth;
   st.pipeline_depth = depth;
-  st.preblocking = depth >= 2;
   st.t_index_build = index_->modeled_build_seconds(model_, p);
   if (rt_ != nullptr) {
     st.grid_side = opt_.grid_side;
@@ -1171,8 +1114,8 @@ QueryEngine::Result QueryEngine::serve(
   // configured depth, with both sides paying the MachineModel's contention
   // dilations when overlapped (pipeline block loop, Table I).
   {
-    const double dsd = st.preblocking ? model_.preblock_sparse_dilation() : 1.0;
-    const double dad = st.preblocking ? model_.preblock_align_dilation : 1.0;
+    const double dsd = depth >= 2 ? model_.preblock_sparse_dilation() : 1.0;
+    const double dad = depth >= 2 ? model_.preblock_align_dilation : 1.0;
     if (rt_ != nullptr) {
       // Distributed: the SAME recurrence, per rank — the slowest rank's
       // pipeline makespan is the serve time (exec::OverlapTimeline). With

@@ -141,8 +141,6 @@ struct QueryBatchStats {
 struct ServeStats {
   int nprocs = 0;
   int n_shards = 0;
-  /// True when the serving loop was modeled overlapped (depth >= 2).
-  bool preblocking = false;
   /// Streaming-executor depth the stream was modeled with (and executed
   /// with, when a host pool is available — without one the executor
   /// degrades to the serial schedule; hits are identical either way).
@@ -207,14 +205,11 @@ class QueryEngine {
     /// Keep only the best `top_k` hits per query by (score desc, ref asc);
     /// 0 keeps all hits (the concatenated-equivalence mode).
     std::uint32_t top_k = 0;
-    /// Overlap batch b+1's SpGEMM with batch b's alignment (§VI-C).
-    /// Legacy alias for `pipeline_depth`: with the depth left at 0, on
-    /// selects depth 2 and off the serial depth 1.
-    bool preblocking = true;
     /// Streaming-executor depth for serve(): maximum query batches in
-    /// flight through discover → align. 0 defers to `preblocking`; hits
-    /// are bit-identical for any depth.
-    int pipeline_depth = 0;
+    /// flight through discover → align. The default 2 overlaps batch b+1's
+    /// SpGEMM with batch b's alignment (§VI-C); 1 is the serial stream.
+    /// Hits are bit-identical for any depth; below 1 is rejected.
+    int pipeline_depth = 2;
 
     // --- rank-resident distributed serving (PastisConfig knobs:
     // grid_side_serving / shard_replication / rank_memory_budget_bytes) ------
@@ -248,16 +243,12 @@ class QueryEngine {
     /// In grid mode the cache's resident bytes are charged to the rank
     /// ledger (cache shard k lives on rank k mod nprocs).
     serve::ResultCache* result_cache = nullptr;
-
-    [[nodiscard]] int effective_pipeline_depth() const {
-      if (pipeline_depth > 0) return pipeline_depth;
-      return preblocking ? 2 : 1;
-    }
   };
 
   /// The engine serves `cfg` against `index`; the discovery parameters of
   /// the two must agree (throws std::invalid_argument otherwise — a k or
-  /// alphabet mismatch would silently change the candidate set).
+  /// alphabet mismatch would silently change the candidate set), as it
+  /// does for opt.nprocs < 1 or opt.pipeline_depth < 1.
   QueryEngine(const KmerIndex& index, core::PastisConfig cfg,
               sim::MachineModel model, Options opt,
               util::ThreadPool* pool = &util::ThreadPool::global());

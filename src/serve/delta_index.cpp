@@ -38,6 +38,9 @@ DeltaIndex::DeltaIndex(index::KmerIndex base, core::PastisConfig cfg,
                        std::vector<index::KmerIndex> segments)
     : base_(std::move(base)), cfg_(std::move(cfg)),
       segments_(std::move(segments)) {
+  if (cfg_.pipeline_depth < 1) {
+    throw std::invalid_argument("DeltaIndex: need pipeline_depth >= 1");
+  }
   if (!base_.params().matches(cfg_)) {
     throw std::invalid_argument(
         "DeltaIndex: config discovery params do not match the base index");
@@ -70,12 +73,6 @@ std::string_view DeltaIndex::ref(sparse::Index id) const {
     if (id < b + segments_[g].n_refs()) return segments_[g].ref(id - b);
   }
   throw std::out_of_range("DeltaIndex::ref: id out of range");
-}
-
-std::uint64_t DeltaIndex::total_ref_residues() const {
-  std::uint64_t r = base_.ref_residues();
-  for (const auto& seg : segments_) r += seg.ref_residues();
-  return r;
 }
 
 std::uint64_t DeltaIndex::delta_bytes() const {
@@ -192,7 +189,7 @@ CompactionStats DeltaIndex::compact(const sim::MachineModel& model,
       }};
 
   exec::StreamOptions sopt;
-  sopt.depth = cfg_.effective_pipeline_depth();
+  sopt.depth = cfg_.pipeline_depth;
   sopt.memory_budget_bytes = cfg_.exec_memory_budget_bytes;
   sopt.pool = pool;
   sopt.telemetry = cfg_.telemetry;

@@ -65,8 +65,8 @@ class DeltaIndex {
   /// Takes ownership of the base (and optional pre-built segments, e.g.
   /// restored from a v3 file — epoch resumes at segments.size()). Throws
   /// std::invalid_argument when a segment's params, shard count, or k-mer
-  /// space disagree with the base, or when cfg doesn't match the base
-  /// params.
+  /// space disagree with the base, when cfg doesn't match the base
+  /// params, or when cfg.pipeline_depth < 1 (compaction's stream depth).
   DeltaIndex(index::KmerIndex base, core::PastisConfig cfg,
              std::vector<index::KmerIndex> segments = {});
 
@@ -90,12 +90,10 @@ class DeltaIndex {
   /// Reference sequence by GLOBAL id (base refs first, then each segment's
   /// refs in arrival order).
   [[nodiscard]] std::string_view ref(sparse::Index id) const;
-  [[nodiscard]] std::uint64_t total_ref_residues() const;
 
   /// Mutation count: bumped by every add_references(), never by compact().
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  [[nodiscard]] std::uint64_t base_bytes() const { return base_.bytes(); }
   /// Logical bytes across all delta segments (the compaction trigger's
   /// numerator).
   [[nodiscard]] std::uint64_t delta_bytes() const;

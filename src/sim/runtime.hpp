@@ -170,26 +170,15 @@ class SimRuntime {
     for (auto& c : clocks_) c = RankClock{};
   }
 
-  /// Resident-bytes ledger reductions (see RankClock::add_resident): the
-  /// per-rank high-water marks and their max — the quantity a
-  /// rank_memory_budget_bytes gate compares against.
+  /// Resident-bytes ledger reduction (see RankClock::add_resident): the
+  /// per-rank high-water marks — what a rank_memory_budget_bytes gate
+  /// compares against.
   [[nodiscard]] std::vector<std::uint64_t> peak_resident_bytes() const {
     std::vector<std::uint64_t> out(clocks_.size());
     for (std::size_t r = 0; r < clocks_.size(); ++r) {
       out[r] = clocks_[r].peak_memory_bytes;
     }
     return out;
-  }
-  [[nodiscard]] std::uint64_t max_peak_resident_bytes() const {
-    std::uint64_t m = 0;
-    for (const auto& c : clocks_) m = std::max(m, c.peak_memory_bytes);
-    return m;
-  }
-
-  /// A detached per-rank clock frame (all zeros) for concurrent stage
-  /// slots; fold back with merge_frame.
-  [[nodiscard]] std::vector<RankClock> make_frame() const {
-    return std::vector<RankClock>(static_cast<std::size_t>(nprocs()));
   }
 
   /// Folds a detached per-rank clock frame (one RankClock per rank) into

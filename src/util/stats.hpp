@@ -92,15 +92,6 @@ template <typename Range>
          static_cast<double>(xs.size());
 }
 
-/// Population standard deviation.
-[[nodiscard]] inline double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
 /// Simple fixed-width histogram used by the dataset generator's self-report.
 class Histogram {
  public:

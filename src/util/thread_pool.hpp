@@ -59,4 +59,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs fn(i) for i in [0, n) on `pool`, or serially in the calling thread
+/// when `pool` is null (the null-pool convention of every host stage).
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
+
 }  // namespace pastis::util

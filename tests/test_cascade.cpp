@@ -1,12 +1,15 @@
 // Sensitivity-cascade tests: the tier-0 ungapped diagonal extension unit
 // behaviour (empty seed lists, clamping at sequence edges, orientation
-// parity), the table-driven kernel dispatch, bit-identity of the disabled
+// parity), the shared screen stage against a per-pair tier loop, the
+// table-driven kernel dispatch, bit-identity of the disabled
 // and exact-preset cascades across pool sizes, pipeline depths and serving
 // grid sides, the fast preset's subset property, and the ResultCache's
 // cascade-signature keying (warm-cache-then-retune must recompute, never
 // replay).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,6 +84,72 @@ std::vector<std::string> repeat_stream(const std::vector<std::string>& base,
     out.push_back(base[rng.below(base.size())]);
   }
   return out;
+}
+
+/// A task no staged candidate carries, pre-loaded into each rank's task
+/// list so the tests see that the screen appends rather than overwrites.
+const pa::AlignTask kSentinel{0xFFFFu, 0xFFFEu, 1, 2};
+
+bool same_task(const pa::AlignTask& a, const pa::AlignTask& b) {
+  return a.q_id == b.q_id && a.r_id == b.r_id && a.seed_q == b.seed_q &&
+         a.seed_r == b.seed_r;
+}
+
+pa::BatchAligner::SeqAccessor seq_accessor(const pg::Dataset& data) {
+  return [&data](std::uint32_t id) -> std::string_view {
+    return data.seqs[id];
+  };
+}
+
+/// The first (q, r) position pair sharing a k-mer, scanning q left to
+/// right; {0, 0} when the sequences share none.
+pa::Seed first_shared_kmer(std::string_view q, std::string_view r,
+                           std::size_t k = 6) {
+  std::map<std::string_view, std::uint32_t> at;
+  for (std::size_t j = 0; j + k <= r.size(); ++j) at.emplace(r.substr(j, k), j);
+  for (std::size_t i = 0; i + k <= q.size(); ++i) {
+    const auto it = at.find(q.substr(i, k));
+    if (it != at.end()) return {static_cast<std::uint32_t>(i), it->second};
+  }
+  return {};
+}
+
+/// Per-rank candidate lists of the given (uneven, possibly empty) sizes:
+/// pairs of `data` sequences, about half of them family mates (fragments
+/// included), seeded at their first shared k-mer — so the fast() tiers
+/// both keep and reject pairs.
+std::vector<std::vector<pc::ScreenCandidate>> staged_candidates(
+    const pg::Dataset& data, const std::vector<std::size_t>& sizes,
+    std::uint64_t seed) {
+  pastis::util::Xoshiro256 rng(seed);
+  const auto n = static_cast<std::uint32_t>(data.size());
+  std::vector<std::vector<pc::ScreenCandidate>> cands(sizes.size());
+  for (std::size_t r = 0; r < sizes.size(); ++r) {
+    while (cands[r].size() < sizes[r]) {
+      const auto a = static_cast<std::uint32_t>(rng.below(n));
+      auto b = static_cast<std::uint32_t>(rng.below(n));
+      if (rng.chance(0.5) && data.family[a] != pg::Dataset::kBackground) {
+        for (std::uint32_t k = 1; k < n; ++k) {
+          if (data.family[(a + k) % n] == data.family[a]) {
+            b = (a + k) % n;
+            break;
+          }
+        }
+      }
+      if (a == b) continue;
+      pc::ScreenCandidate c;
+      c.task.q_id = std::min(a, b);
+      c.task.r_id = std::max(a, b);
+      c.seeds[0] =
+          first_shared_kmer(data.seqs[c.task.q_id], data.seqs[c.task.r_id]);
+      c.task.seed_q = c.seeds[0].q;
+      c.task.seed_r = c.seeds[0].r;
+      c.count = 1 + static_cast<std::uint32_t>(rng.below(4));
+      c.n_seeds = 1;
+      cands[r].push_back(c);
+    }
+  }
+  return cands;
 }
 
 std::set<std::pair<std::uint32_t, std::uint32_t>> edge_set(
@@ -166,17 +235,107 @@ TEST(UngappedExtend, ReverseOrientationParity) {
   }
 }
 
-TEST(Cascade, DisabledCascadeIsASingleBranch) {
+// ---- the shared screen stage (core::screen_candidates) ----------------------
+
+TEST(Cascade, DisabledScreenPassesCandidatesThrough) {
   const pa::CascadeOptions off;
   EXPECT_FALSE(off.any());
   EXPECT_EQ(off.fingerprint(), 0u);
-  pc::PastisConfig cfg;
-  const auto aligner = pc::make_batch_aligner(cfg, pastis::sim::MachineModel{});
-  pa::CascadeStats cs;
-  EXPECT_TRUE(pa::cascade_keep("ARND", "ARND", pa::AlignTask{}, 3, {}, -1,
-                               aligner, off, cs));
-  EXPECT_EQ(cs.tier0.pairs_in, 0u);
-  EXPECT_EQ(cs.tier1.pairs_in, 0u);
+  const auto data = test_dataset(80, 29);
+  const auto aligner =
+      pc::make_batch_aligner(pc::PastisConfig{}, pastis::sim::MachineModel{});
+  const auto staged = staged_candidates(data, {9, 0, 4, 0, 13}, 3);
+
+  auto cands = staged;
+  std::vector<std::vector<pa::AlignTask>> tasks(staged.size(), {kSentinel});
+  std::vector<pa::CascadeStats> stats;
+  pc::screen_candidates(cands, tasks, stats, seq_accessor(data), aligner, off,
+                        {}, nullptr);
+  ASSERT_EQ(stats.size(), staged.size());
+  for (std::size_t r = 0; r < staged.size(); ++r) {
+    ASSERT_EQ(cands[r].size(), staged[r].size()) << "rank " << r;
+    ASSERT_EQ(tasks[r].size(), 1 + staged[r].size()) << "rank " << r;
+    EXPECT_TRUE(same_task(tasks[r][0], kSentinel));
+    for (std::size_t i = 0; i < staged[r].size(); ++i) {
+      EXPECT_TRUE(same_task(cands[r][i].task, staged[r][i].task));
+      EXPECT_TRUE(same_task(tasks[r][1 + i], staged[r][i].task));
+    }
+    EXPECT_EQ(stats[r].tier0.pairs_in, 0u);
+    EXPECT_EQ(stats[r].tier1.pairs_in, 0u);
+    EXPECT_EQ(stats[r].screen_cells(), 0u);
+  }
+}
+
+TEST(Cascade, FastScreenMatchesAPerPairTierLoop) {
+  const auto data = test_dataset(120, 31);
+  const auto aligner =
+      pc::make_batch_aligner(pc::PastisConfig{}, pastis::sim::MachineModel{});
+  const auto opt = pa::CascadeOptions::fast();
+  const auto seq_of = seq_accessor(data);
+  const auto staged = staged_candidates(data, {37, 0, 5, 61, 0, 12}, 9);
+  const std::size_t np = staged.size();
+
+  // Oracle: every candidate through tier0_keep then tier1_keep, one pair
+  // at a time.
+  std::vector<std::vector<pc::ScreenCandidate>> want(np);
+  std::vector<pa::CascadeStats> want_stats(np);
+  for (std::size_t r = 0; r < np; ++r) {
+    for (const auto& c : staged[r]) {
+      const auto q = seq_of(c.task.q_id);
+      const auto t = seq_of(c.task.r_id);
+      if (!pa::tier0_keep(q, t, {c.seeds, static_cast<std::size_t>(c.n_seeds)},
+                          c.count, c.sketch_overlap, aligner, opt,
+                          want_stats[r].tier0)) {
+        continue;
+      }
+      if (!pa::tier1_keep(q, t, c.task, aligner, opt, want_stats[r].tier1)) {
+        continue;
+      }
+      want[r].push_back(c);
+    }
+  }
+  pa::CascadeStats total;
+  std::size_t survivors = 0;
+  for (std::size_t r = 0; r < np; ++r) {
+    total.merge(want_stats[r]);
+    survivors += want[r].size();
+  }
+  // The fixture exercises both outcomes of both tiers.
+  EXPECT_GT(total.tier0.rejects, 0u);
+  EXPECT_GT(total.tier1.rejects, 0u);
+  EXPECT_GT(survivors, 0u);
+
+  pastis::util::ThreadPool pool1(1), pool4(4);
+  for (pastis::util::ThreadPool* pool :
+       {static_cast<pastis::util::ThreadPool*>(nullptr), &pool1, &pool4}) {
+    const int threads = pool == nullptr ? 0 : static_cast<int>(pool->size());
+    auto cands = staged;
+    std::vector<std::vector<pa::AlignTask>> tasks(np, {kSentinel});
+    std::vector<pa::CascadeStats> stats;
+    pc::screen_candidates(cands, tasks, stats, seq_of, aligner, opt, {}, pool);
+    ASSERT_EQ(stats.size(), np);
+    for (std::size_t r = 0; r < np; ++r) {
+      ASSERT_EQ(cands[r].size(), want[r].size())
+          << "threads=" << threads << " rank " << r;
+      ASSERT_EQ(tasks[r].size(), 1 + want[r].size())
+          << "threads=" << threads << " rank " << r;
+      EXPECT_TRUE(same_task(tasks[r][0], kSentinel));
+      for (std::size_t i = 0; i < want[r].size(); ++i) {
+        EXPECT_TRUE(same_task(cands[r][i].task, want[r][i].task));
+        EXPECT_TRUE(same_task(tasks[r][1 + i], want[r][i].task));
+      }
+      const pa::TierStats* got[2] = {&stats[r].tier0, &stats[r].tier1};
+      const pa::TierStats* exp[2] = {&want_stats[r].tier0,
+                                     &want_stats[r].tier1};
+      for (int tier = 0; tier < 2; ++tier) {
+        EXPECT_EQ(got[tier]->pairs_in, exp[tier]->pairs_in);
+        EXPECT_EQ(got[tier]->pairs_out, exp[tier]->pairs_out);
+        EXPECT_EQ(got[tier]->rejects, exp[tier]->rejects);
+        EXPECT_EQ(got[tier]->cells, exp[tier]->cells)
+            << "threads=" << threads << " rank " << r << " tier " << tier;
+      }
+    }
+  }
 }
 
 TEST(Cascade, FingerprintSeparatesPresets) {

@@ -505,12 +505,12 @@ TEST(Mcl, FusedOffIsBitIdenticalToFusedOn) {
   const auto g = pc::SimilarityGraph::from_edges(400, edges);
 
   pc::MclStats fused_stats;
-  const auto fused = pc::markov_cluster(g, {}, &fused_stats);  // fused default
+  const auto fused = pc::markov_cluster(g, {}, &fused_stats);  // kHash2Phase
 
   for (std::size_t threads : {1u, 8u}) {
     pastis::util::ThreadPool pool(threads);
     pc::MclOptions opt;
-    opt.fused = false;
+    opt.kernel = pastis::sparse::SpGemmKernel::kHash;  // expand-then-prune
     pc::MclStats stats;
     const auto got = pc::markov_cluster(g, opt, &stats, &pool);
     EXPECT_TRUE(got == fused) << "threads=" << threads;
@@ -566,15 +566,18 @@ TEST(Mcl, DropoutBitIdenticalAcrossPoolsAndFusionModes) {
   EXPECT_GT(dropped, 0u);  // the knob actually engages on this workload
 
   // For a FIXED dropout setting, results are bit-identical across pool
-  // sizes and across the fused/unfused paths — including the mask series.
-  for (bool fuse : {true, false}) {
+  // sizes and across the fused (kHash2Phase) and expand-then-prune (kHash)
+  // paths — including the mask series.
+  for (const auto kernel : {pastis::sparse::SpGemmKernel::kHash2Phase,
+                            pastis::sparse::SpGemmKernel::kHash}) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       pastis::util::ThreadPool pool(threads);
       pc::MclOptions opt = dopt;
-      opt.fused = fuse;
+      opt.kernel = kernel;
       pc::MclStats stats;
       const auto got = pc::markov_cluster(g, opt, &stats, &pool);
-      EXPECT_TRUE(got == ref) << "fused=" << fuse << " threads=" << threads;
+      EXPECT_TRUE(got == ref) << "kernel=" << static_cast<int>(kernel)
+                              << " threads=" << threads;
       EXPECT_EQ(stats.iterations, ref_stats.iterations);
       EXPECT_EQ(stats.spgemm.products, ref_stats.spgemm.products);
       ASSERT_EQ(stats.per_iteration.size(), ref_stats.per_iteration.size());
@@ -637,7 +640,7 @@ TEST(Mcl, BindingBudgetTightensIdenticallyFusedAndUnfused) {
   const auto fused = pc::markov_cluster(g, opt, &fused_stats);
   ASSERT_GT(fused_stats.budget_tightenings, 0);
 
-  opt.fused = false;
+  opt.kernel = pastis::sparse::SpGemmKernel::kHash;  // expand-then-prune
   pc::MclStats plain_stats;
   const auto plain = pc::markov_cluster(g, opt, &plain_stats);
   EXPECT_TRUE(fused == plain);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/pipeline.hpp"
 #include "exec/stream_pipeline.hpp"
@@ -17,6 +18,7 @@
 #include "gen/protein_gen.hpp"
 #include "index/kmer_index.hpp"
 #include "index/query_engine.hpp"
+#include "serve/delta_index.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pc = pastis::core;
@@ -310,28 +312,6 @@ TEST(ExecPipeline, DepthBlockingThreadInvariance) {
   }
 }
 
-TEST(ExecPipeline, LegacyPreblockingIsExactlyDepth2) {
-  const auto data = overlap_dataset(300, 23);
-  const auto model = pastis::sim::MachineModel::summit_scaled(1.1e9, 3.3e4);
-
-  pc::PastisConfig cfg;
-  cfg.block_rows = cfg.block_cols = 3;
-  cfg.preblocking = true;  // legacy alias
-  pc::SimilaritySearch legacy(cfg, model, 4);
-  const auto with_alias = legacy.run(data.seqs);
-  EXPECT_EQ(with_alias.stats.pipeline_depth, 2);
-  EXPECT_TRUE(with_alias.stats.preblocking);
-
-  cfg.preblocking = false;
-  cfg.pipeline_depth = 2;
-  pc::SimilaritySearch explicit_depth(cfg, model, 4);
-  const auto with_depth = explicit_depth.run(data.seqs);
-
-  EXPECT_EQ(with_alias.edges, with_depth.edges);
-  EXPECT_EQ(with_alias.stats.rank_loop_s, with_depth.stats.rank_loop_s);
-  EXPECT_EQ(with_alias.stats.t_blocks, with_depth.stats.t_blocks);
-}
-
 TEST(ExecPipeline, DeeperPipelinesShortenTheModeledBlockLoop) {
   const auto data = overlap_dataset(400, 29);
   const auto model = pastis::sim::MachineModel::summit_scaled(1.1e9, 3.3e4);
@@ -367,32 +347,6 @@ TEST(ExecPipeline, MemoryBudgetKeepsResultsIdentical) {
 
   EXPECT_EQ(free_run.edges, tight_run.edges);
   EXPECT_EQ(free_run.stats.candidates, tight_run.stats.candidates);
-}
-
-TEST(ExecPipeline, RankBlockTimelineOnlyOnRequest) {
-  const auto data = overlap_dataset(150, 43);
-  pc::PastisConfig cfg;
-  cfg.block_rows = cfg.block_cols = 2;
-  pc::SimilaritySearch lean(cfg, pastis::sim::MachineModel{}, 4);
-  const auto lean_run = lean.run(data.seqs);
-  EXPECT_TRUE(lean_run.stats.rank_block_sparse_s.empty());
-  EXPECT_TRUE(lean_run.stats.rank_block_align_s.empty());
-  EXPECT_EQ(lean_run.stats.block_sparse_s.size(), 4u);  // maxima stay
-
-  cfg.collect_rank_block_timeline = true;
-  pc::SimilaritySearch full(cfg, pastis::sim::MachineModel{}, 4);
-  const auto full_run = full.run(data.seqs);
-  ASSERT_EQ(full_run.stats.rank_block_sparse_s.size(), 4u);
-  ASSERT_EQ(full_run.stats.rank_block_align_s.size(), 4u);
-  for (std::size_t b = 0; b < 4; ++b) {
-    ASSERT_EQ(full_run.stats.rank_block_sparse_s[b].size(), 4u);
-    // The always-on per-block maxima agree with the full timeline.
-    EXPECT_DOUBLE_EQ(
-        full_run.stats.block_sparse_s[b],
-        *std::max_element(full_run.stats.rank_block_sparse_s[b].begin(),
-                          full_run.stats.rank_block_sparse_s[b].end()));
-  }
-  EXPECT_EQ(lean_run.edges, full_run.edges);
 }
 
 // ---- QueryEngine invariance -------------------------------------------------
@@ -443,7 +397,7 @@ TEST(ExecQueryEngine, DepthShardThreadInvariance) {
   delete oracle_hits;
 }
 
-TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
+TEST(ExecQueryEngine, Depth2TimelineBeatsTheSerialStream) {
   const auto refs = overlap_dataset(200, 59).seqs;
   std::vector<std::vector<std::string>> batches(
       4, std::vector<std::string>(refs.begin(), refs.begin() + 20));
@@ -454,17 +408,9 @@ TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
 
   pi::QueryEngine::Options opt;
   opt.nprocs = 4;
-  opt.preblocking = true;
-  pi::QueryEngine alias_engine(index, cfg, model, opt);
-  const auto alias = alias_engine.serve(batches);
-  EXPECT_EQ(alias.stats.pipeline_depth, 2);
-
-  opt.preblocking = false;
-  opt.pipeline_depth = 2;
-  pi::QueryEngine depth_engine(index, cfg, model, opt);
+  pi::QueryEngine depth_engine(index, cfg, model, opt);  // default depth 2
   const auto depth2 = depth_engine.serve(batches);
-  EXPECT_EQ(alias.hits, depth2.hits);
-  EXPECT_EQ(alias.stats.t_serve, depth2.stats.t_serve);
+  EXPECT_EQ(depth2.stats.pipeline_depth, 2);
 
   opt.pipeline_depth = 1;
   pi::QueryEngine serial_engine(index, cfg, model, opt);
@@ -476,3 +422,25 @@ TEST(ExecQueryEngine, LegacyPreblockingTimelineIsDepth2) {
             serial.stats.t_serve * model.preblock_sparse_dilation());
 }
 
+// ---- depth validation ------------------------------------------------------
+
+TEST(ExecDepth, ConstructorsRejectDepthsBelowOne) {
+  const auto refs = overlap_dataset(40, 61).seqs;
+  const pc::PastisConfig good;
+  const auto index = pi::KmerIndex::build(refs, good, 2);
+  for (const int depth : {0, -3}) {
+    pc::PastisConfig cfg;
+    cfg.pipeline_depth = depth;
+    EXPECT_THROW(pc::SimilaritySearch(cfg, pastis::sim::MachineModel{}, 4),
+                 std::invalid_argument)
+        << "depth=" << depth;
+    EXPECT_THROW(pastis::serve::DeltaIndex(index, cfg), std::invalid_argument)
+        << "depth=" << depth;
+
+    pi::QueryEngine::Options opt;
+    opt.pipeline_depth = depth;
+    EXPECT_THROW(pi::QueryEngine(index, good, pastis::sim::MachineModel{}, opt),
+                 std::invalid_argument)
+        << "depth=" << depth;
+  }
+}
